@@ -25,7 +25,10 @@ fn merge_ablation(c: &mut Criterion) {
         let (nodes, edges) = load(&graph);
         let cfg = bench_hive_config(LshMethod::Elsh);
         let fs = FeatureSpace::build(&nodes, &edges, &cfg.embedding, 42);
-        let vectors: Vec<_> = nodes.iter().map(|n| fs.node_vector(n)).collect();
+        let vectors: Vec<_> = nodes
+            .iter()
+            .map(|n| fs.node_fingerprint_vector(&fs.node_fingerprint(n)))
+            .collect();
         let lsh = EuclideanLsh::new(fs.node_dim().max(1), 25, 2.0, 42);
 
         group.bench_with_input(

@@ -42,25 +42,6 @@ impl DedupStats {
     }
 }
 
-/// Broadcast a clustering of fingerprint representatives back to the
-/// full record set. `grouping.reps` is in record first-occurrence order
-/// and `rep_clustering` numbers clusters densely in *rep*
-/// first-occurrence order, so the composed ids are already dense in
-/// record first-occurrence order — exactly what clustering the
-/// materialized per-record inputs would have produced (equal
-/// fingerprints ⇒ bit-identical vectors ⇒ equal signatures).
-fn broadcast(rep_clustering: &Clustering, grouping: &Grouping) -> Clustering {
-    let assignment: Vec<usize> = grouping
-        .assignment
-        .par_iter()
-        .map(|&g| rep_clustering.assignment[g])
-        .collect();
-    Clustering {
-        assignment,
-        num_clusters: rep_clustering.num_clusters,
-    }
-}
-
 /// A candidate node type: cluster representative + accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct NodeCluster {
@@ -87,42 +68,141 @@ pub struct EdgeCluster {
     pub accum: EdgeTypeAccum,
 }
 
-/// Resolve LSH parameters for a set of vectors (ELSH path).
-fn resolve_elsh_params(
-    params: &LshParams,
-    vectors: &[SparseVec],
-    distinct_labels: usize,
-    kind: ElementKind,
-    seed: u64,
-) -> (f64, usize, Option<AdaptiveParams>) {
-    match params {
-        LshParams::Adaptive => {
-            let p = adaptive::adapt(vectors, distinct_labels, kind, seed);
-            (p.bucket_length, p.tables, Some(p))
+/// One element kind's share of the clustering pass: how its records
+/// are fingerprinted and featurized, which LSH parameters, element kind
+/// and seed offset apply, and how a cluster representative folds its
+/// members in. Everything else — grouping, parameter resolution,
+/// signing, broadcast and the chunk-ordered assembly — is shared.
+trait Candidate: Default + Send {
+    type Record: Sync;
+    type Fingerprint: Eq + std::hash::Hash + Send + Sync;
+    const KIND: ElementKind;
+    /// Added to `cfg.seed` for the adaptive sample and the LSH family.
+    const SEED_OFFSET: u64;
+    fn params(cfg: &HiveConfig) -> &LshParams;
+    fn fingerprint(fs: &FeatureSpace, rec: &Self::Record) -> Self::Fingerprint;
+    /// Interned id of the label set whose labels count toward α (for
+    /// edges: the edge's own labels, never its endpoints').
+    fn label_set(fp: &Self::Fingerprint) -> u32;
+    fn vector(fs: &FeatureSpace, fp: &Self::Fingerprint) -> SparseVec;
+    fn set(fs: &FeatureSpace, fp: &Self::Fingerprint) -> Vec<u64>;
+    /// Fold this cluster's `members` (indices into `chunk`, in chunk
+    /// order) into the partial representative.
+    fn fold<'a>(&mut self, chunk: &'a [Self::Record], members: &[usize], ks: &mut KeySlots<'a>);
+    /// Fold another partial cluster in. Label/key unions are
+    /// order-insensitive (sorted sets) and the accumulator's counters
+    /// are additive, while `members` concatenate — so merging per-chunk
+    /// partials in chunk order reproduces the sequential fold exactly.
+    fn merge(&mut self, other: &Self);
+}
+
+impl Candidate for NodeCluster {
+    type Record = NodeRecord;
+    type Fingerprint = NodeFingerprint;
+    const KIND: ElementKind = ElementKind::Node;
+    const SEED_OFFSET: u64 = 0;
+
+    fn params(cfg: &HiveConfig) -> &LshParams {
+        &cfg.node_params
+    }
+
+    fn fingerprint(fs: &FeatureSpace, rec: &NodeRecord) -> NodeFingerprint {
+        fs.node_fingerprint(rec)
+    }
+
+    fn label_set(fp: &NodeFingerprint) -> u32 {
+        fp.labels
+    }
+
+    fn vector(fs: &FeatureSpace, fp: &NodeFingerprint) -> SparseVec {
+        fs.node_fingerprint_vector(fp)
+    }
+
+    fn set(fs: &FeatureSpace, fp: &NodeFingerprint) -> Vec<u64> {
+        fs.node_fingerprint_set(fp)
+    }
+
+    fn fold<'a>(&mut self, chunk: &'a [NodeRecord], members: &[usize], ks: &mut KeySlots<'a>) {
+        self.accum.members.reserve(members.len());
+        for &i in members {
+            let node = &chunk[i];
+            union_into(&mut self.labels, &node.labels);
+            self.accum.members.push(node.id);
+            for (k, v) in &node.props {
+                ks.observe(k, v);
+            }
         }
-        LshParams::Manual {
-            bucket_length,
-            tables,
-        } => (*bucket_length, *tables, None),
+        self.accum.count = members.len() as u64;
+        ks.drain_into(
+            &mut self.keys,
+            &mut self.accum.key_present,
+            &mut self.accum.dtype_hist,
+        );
+    }
+
+    fn merge(&mut self, other: &NodeCluster) {
+        self.labels = self.labels.union(&other.labels);
+        self.keys.extend(other.keys.iter().cloned());
+        self.accum.merge(&other.accum);
     }
 }
 
-/// Resolve the table count for MinHash (bucket length is meaningless).
-fn resolve_minhash_tables(
-    params: &LshParams,
-    n_items: usize,
-    distinct_labels: usize,
-    kind: ElementKind,
-) -> (usize, Option<AdaptiveParams>) {
-    match params {
-        LshParams::Adaptive => {
-            // MinHash has no distance scale; the table heuristic uses a
-            // unit scale (§4.2: "MinHash only requires the number of
-            // hash tables T").
-            let p = adaptive::from_scale(1.0, n_items, distinct_labels, kind);
-            (p.tables, Some(p))
+impl Candidate for EdgeCluster {
+    type Record = EdgeRecord;
+    type Fingerprint = EdgeFingerprint;
+    const KIND: ElementKind = ElementKind::Edge;
+    const SEED_OFFSET: u64 = 1;
+
+    fn params(cfg: &HiveConfig) -> &LshParams {
+        &cfg.edge_params
+    }
+
+    fn fingerprint(fs: &FeatureSpace, rec: &EdgeRecord) -> EdgeFingerprint {
+        fs.edge_fingerprint(rec)
+    }
+
+    fn label_set(fp: &EdgeFingerprint) -> u32 {
+        fp.labels
+    }
+
+    fn vector(fs: &FeatureSpace, fp: &EdgeFingerprint) -> SparseVec {
+        fs.edge_fingerprint_vector(fp)
+    }
+
+    fn set(fs: &FeatureSpace, fp: &EdgeFingerprint) -> Vec<u64> {
+        fs.edge_fingerprint_set(fp)
+    }
+
+    /// Like the node fold, plus the endpoint-label unions and the
+    /// `(src, tgt)` endpoint list.
+    fn fold<'a>(&mut self, chunk: &'a [EdgeRecord], members: &[usize], ks: &mut KeySlots<'a>) {
+        self.accum.members.reserve(members.len());
+        self.accum.endpoints.reserve(members.len());
+        for &i in members {
+            let rec = &chunk[i];
+            union_into(&mut self.labels, &rec.edge.labels);
+            union_into(&mut self.src_labels, &rec.src_labels);
+            union_into(&mut self.tgt_labels, &rec.tgt_labels);
+            self.accum.members.push(rec.edge.id);
+            self.accum.endpoints.push((rec.edge.src, rec.edge.tgt));
+            for (k, v) in &rec.edge.props {
+                ks.observe(k, v);
+            }
         }
-        LshParams::Manual { tables, .. } => (*tables, None),
+        self.accum.count = members.len() as u64;
+        ks.drain_into(
+            &mut self.keys,
+            &mut self.accum.key_present,
+            &mut self.accum.dtype_hist,
+        );
+    }
+
+    fn merge(&mut self, other: &EdgeCluster) {
+        self.labels = self.labels.union(&other.labels);
+        self.src_labels = self.src_labels.union(&other.src_labels);
+        self.tgt_labels = self.tgt_labels.union(&other.tgt_labels);
+        self.keys.extend(other.keys.iter().cloned());
+        self.accum.merge(&other.accum);
     }
 }
 
@@ -130,118 +210,22 @@ fn resolve_minhash_tables(
 /// adaptive parameters actually used (if adaptive), and the dedup
 /// statistics of the pass.
 ///
-/// With `cfg.dedup` (the default), records are first collapsed to their
-/// structural fingerprints and only the distinct fingerprints are
-/// featurized and LSH-hashed; cluster ids are then broadcast back. The
-/// result is bit-identical to the naive per-record path — feature
-/// vectors are value-independent, the adaptive μ sample is computed over
-/// the full *virtual* record set with the same RNG stream, and the
-/// representative cluster assembly below always folds the full record
-/// set (counts, cardinalities, and datatype stats are unaffected).
+/// Records are collapsed to their structural fingerprints and only one
+/// representative per group is featurized and LSH-hashed; cluster ids
+/// are then broadcast back. `cfg.dedup` (the default) groups equal
+/// fingerprints; without it every record is its own group — identity
+/// grouping over the same path. Both give bit-identical results:
+/// feature vectors are value-independent, the adaptive μ sample is
+/// computed over the full *virtual* record set with the same RNG
+/// stream, and the representative cluster assembly always folds the
+/// full record set (counts, cardinalities, and datatype stats are
+/// unaffected).
 pub fn cluster_nodes(
     nodes: &[NodeRecord],
     fs: &FeatureSpace,
     cfg: &HiveConfig,
 ) -> (Vec<NodeCluster>, Option<AdaptiveParams>, DedupStats) {
-    if nodes.is_empty() {
-        return (Vec::new(), None, DedupStats::default());
-    }
-    let distinct_labels: BTreeSet<&str> = nodes
-        .iter()
-        .flat_map(|n| n.labels.iter().map(|l| l.as_ref()))
-        .collect();
-
-    let (clustering, params, stats) = if cfg.dedup {
-        let fps: Vec<NodeFingerprint> = nodes.par_iter().map(|n| fs.node_fingerprint(n)).collect();
-        let grouping = group_by_key(&fps);
-        let stats = DedupStats {
-            records: nodes.len(),
-            distinct: grouping.num_groups,
-        };
-        match cfg.method {
-            LshMethod::Elsh => {
-                let vectors: Vec<SparseVec> = grouping
-                    .reps
-                    .par_iter()
-                    .map(|&i| fs.node_fingerprint_vector(&fps[i]))
-                    .collect();
-                let (b, t, p) = match &cfg.node_params {
-                    LshParams::Adaptive => {
-                        let p = adaptive::adapt_grouped(
-                            &vectors,
-                            &grouping.assignment,
-                            distinct_labels.len(),
-                            ElementKind::Node,
-                            cfg.seed,
-                        );
-                        (p.bucket_length, p.tables, Some(p))
-                    }
-                    LshParams::Manual {
-                        bucket_length,
-                        tables,
-                    } => (*bucket_length, *tables, None),
-                };
-                let lsh = EuclideanLsh::new(fs.node_dim().max(1), t, b, cfg.seed);
-                (
-                    broadcast(&lsh.cluster_signature(&vectors), &grouping),
-                    p,
-                    stats,
-                )
-            }
-            LshMethod::MinHash => {
-                let sets: Vec<Vec<u64>> = grouping
-                    .reps
-                    .par_iter()
-                    .map(|&i| fs.node_fingerprint_set(&fps[i]))
-                    .collect();
-                // Table count scales with the *record* count, not the
-                // fingerprint count, to match the naive path.
-                let (t, p) = resolve_minhash_tables(
-                    &cfg.node_params,
-                    nodes.len(),
-                    distinct_labels.len(),
-                    ElementKind::Node,
-                );
-                let lsh = MinHashLsh::new(t, cfg.seed);
-                (
-                    broadcast(&lsh.cluster_signature(&sets), &grouping),
-                    p,
-                    stats,
-                )
-            }
-        }
-    } else {
-        let stats = DedupStats {
-            records: nodes.len(),
-            distinct: nodes.len(),
-        };
-        match cfg.method {
-            LshMethod::Elsh => {
-                let vectors: Vec<SparseVec> = nodes.par_iter().map(|n| fs.node_vector(n)).collect();
-                let (b, t, p) = resolve_elsh_params(
-                    &cfg.node_params,
-                    &vectors,
-                    distinct_labels.len(),
-                    ElementKind::Node,
-                    cfg.seed,
-                );
-                let lsh = EuclideanLsh::new(fs.node_dim().max(1), t, b, cfg.seed);
-                (lsh.cluster_signature(&vectors), p, stats)
-            }
-            LshMethod::MinHash => {
-                let sets: Vec<Vec<u64>> = nodes.par_iter().map(|n| fs.node_set(n)).collect();
-                let (t, p) = resolve_minhash_tables(
-                    &cfg.node_params,
-                    nodes.len(),
-                    distinct_labels.len(),
-                    ElementKind::Node,
-                );
-                let lsh = MinHashLsh::new(t, cfg.seed);
-                (lsh.cluster_signature(&sets), p, stats)
-            }
-        }
-    };
-    (assemble_node_clusters(nodes, &clustering), params, stats)
+    cluster(nodes, fs, cfg)
 }
 
 /// Cluster the batch's edges (see [`cluster_nodes`] for the dedup
@@ -251,132 +235,102 @@ pub fn cluster_edges(
     fs: &FeatureSpace,
     cfg: &HiveConfig,
 ) -> (Vec<EdgeCluster>, Option<AdaptiveParams>, DedupStats) {
-    if edges.is_empty() {
+    cluster(edges, fs, cfg)
+}
+
+/// Every record its own group: the grouping of `cfg.dedup = false`.
+fn identity_grouping(n: usize) -> Grouping {
+    Grouping {
+        assignment: (0..n).collect(),
+        reps: (0..n).collect(),
+        num_groups: n,
+    }
+}
+
+/// The clustering pass shared by both element kinds: fingerprint,
+/// group, featurize the representatives, resolve `(b, T)`, sign,
+/// broadcast, assemble.
+fn cluster<C: Candidate>(
+    records: &[C::Record],
+    fs: &FeatureSpace,
+    cfg: &HiveConfig,
+) -> (Vec<C>, Option<AdaptiveParams>, DedupStats) {
+    if records.is_empty() {
         return (Vec::new(), None, DedupStats::default());
     }
-    let distinct_labels: BTreeSet<&str> = edges
-        .iter()
-        .flat_map(|e| e.edge.labels.iter().map(|l| l.as_ref()))
-        .collect();
-
-    let (clustering, params, stats) = if cfg.dedup {
-        let fps: Vec<EdgeFingerprint> = edges.par_iter().map(|e| fs.edge_fingerprint(e)).collect();
-        let grouping = group_by_key(&fps);
-        let stats = DedupStats {
-            records: edges.len(),
-            distinct: grouping.num_groups,
-        };
-        match cfg.method {
-            LshMethod::Elsh => {
-                let vectors: Vec<SparseVec> = grouping
-                    .reps
-                    .par_iter()
-                    .map(|&i| fs.edge_fingerprint_vector(&fps[i]))
-                    .collect();
-                let (b, t, p) = match &cfg.edge_params {
-                    LshParams::Adaptive => {
-                        let p = adaptive::adapt_grouped(
-                            &vectors,
-                            &grouping.assignment,
-                            distinct_labels.len(),
-                            ElementKind::Edge,
-                            cfg.seed.wrapping_add(1),
-                        );
-                        (p.bucket_length, p.tables, Some(p))
-                    }
-                    LshParams::Manual {
-                        bucket_length,
-                        tables,
-                    } => (*bucket_length, *tables, None),
-                };
-                let lsh = EuclideanLsh::new(fs.edge_dim().max(1), t, b, cfg.seed.wrapping_add(1));
-                (
-                    broadcast(&lsh.cluster_signature(&vectors), &grouping),
-                    p,
-                    stats,
-                )
-            }
-            LshMethod::MinHash => {
-                let sets: Vec<Vec<u64>> = grouping
-                    .reps
-                    .par_iter()
-                    .map(|&i| fs.edge_fingerprint_set(&fps[i]))
-                    .collect();
-                let (t, p) = resolve_minhash_tables(
-                    &cfg.edge_params,
-                    edges.len(),
-                    distinct_labels.len(),
-                    ElementKind::Edge,
-                );
-                let lsh = MinHashLsh::new(t, cfg.seed.wrapping_add(1));
-                (
-                    broadcast(&lsh.cluster_signature(&sets), &grouping),
-                    p,
-                    stats,
-                )
-            }
-        }
+    let seed = cfg.seed.wrapping_add(C::SEED_OFFSET);
+    let fps: Vec<C::Fingerprint> = records.par_iter().map(|r| C::fingerprint(fs, r)).collect();
+    let grouping = if cfg.dedup {
+        group_by_key(&fps)
     } else {
-        let stats = DedupStats {
-            records: edges.len(),
-            distinct: edges.len(),
-        };
-        match cfg.method {
-            LshMethod::Elsh => {
-                let vectors: Vec<SparseVec> = edges.par_iter().map(|e| fs.edge_vector(e)).collect();
-                let (b, t, p) = resolve_elsh_params(
-                    &cfg.edge_params,
-                    &vectors,
-                    distinct_labels.len(),
-                    ElementKind::Edge,
-                    cfg.seed.wrapping_add(1),
-                );
-                let lsh = EuclideanLsh::new(fs.edge_dim().max(1), t, b, cfg.seed.wrapping_add(1));
-                (lsh.cluster_signature(&vectors), p, stats)
-            }
-            LshMethod::MinHash => {
-                let sets: Vec<Vec<u64>> = edges.par_iter().map(|e| fs.edge_set(e)).collect();
-                let (t, p) = resolve_minhash_tables(
-                    &cfg.edge_params,
-                    edges.len(),
-                    distinct_labels.len(),
-                    ElementKind::Edge,
-                );
-                let lsh = MinHashLsh::new(t, cfg.seed.wrapping_add(1));
-                (lsh.cluster_signature(&sets), p, stats)
-            }
+        identity_grouping(records.len())
+    };
+
+    // `(b, T, adaptive)`: the manual pair, or `adapt` applied to the
+    // distinct label count. Every record's label set is its
+    // representative's, so the count comes from the groups.
+    let resolve = |adapt: &dyn Fn(usize) -> AdaptiveParams| match C::params(cfg) {
+        LshParams::Adaptive => {
+            let p = adapt(fs.distinct_labels(grouping.reps.iter().map(|&i| C::label_set(&fps[i]))));
+            (p.bucket_length, p.tables, Some(p))
+        }
+        LshParams::Manual {
+            bucket_length,
+            tables,
+        } => (*bucket_length, *tables, None),
+    };
+    let (rep_clustering, params) = match cfg.method {
+        LshMethod::Elsh => {
+            let vectors: Vec<SparseVec> = grouping
+                .reps
+                .par_iter()
+                .map(|&i| C::vector(fs, &fps[i]))
+                .collect();
+            let (b, t, p) = resolve(&|labels| {
+                adaptive::adapt_grouped(&vectors, &grouping.assignment, labels, C::KIND, seed)
+            });
+            let lsh = EuclideanLsh::new(vectors[0].dim().max(1), t, b, seed);
+            (lsh.cluster_signature(&vectors), p)
+        }
+        LshMethod::MinHash => {
+            let sets: Vec<Vec<u64>> = grouping
+                .reps
+                .par_iter()
+                .map(|&i| C::set(fs, &fps[i]))
+                .collect();
+            // MinHash has no distance scale; the table heuristic uses a
+            // unit scale (§4.2: "MinHash only requires the number of
+            // hash tables T") and the *record* count.
+            let (_, t, p) =
+                resolve(&|labels| adaptive::from_scale(1.0, records.len(), labels, C::KIND));
+            (MinHashLsh::new(t, seed).cluster_signature(&sets), p)
         }
     };
-    (assemble_edge_clusters(edges, &clustering), params, stats)
+    let stats = DedupStats {
+        records: records.len(),
+        distinct: grouping.num_groups,
+    };
+    // Broadcast back to every record. `grouping.reps` is in record
+    // first-occurrence order and `rep_clustering` numbers clusters
+    // densely in rep first-occurrence order, so the composed ids are
+    // dense in record first-occurrence order — exactly what clustering
+    // every record individually would produce (equal fingerprints ⇒
+    // bit-identical vectors ⇒ equal signatures).
+    let clustering = Clustering {
+        assignment: grouping
+            .assignment
+            .par_iter()
+            .map(|&g| rep_clustering.assignment[g])
+            .collect(),
+        num_clusters: rep_clustering.num_clusters,
+    };
+    (assemble(records, &clustering), params, stats)
 }
 
 /// Number of chunks cluster assembly folds in parallel. Chunk
 /// boundaries depend only on the record count, never the thread count,
 /// so the chunk-ordered merge below is deterministic.
 const ASSEMBLE_SHARDS: usize = 64;
-
-impl NodeCluster {
-    /// Fold another partial cluster in. Label/key unions are
-    /// order-insensitive (sorted sets) and the accumulator's counters
-    /// are additive, while `members` concatenate — so merging per-chunk
-    /// partials in chunk order reproduces the sequential fold exactly.
-    fn merge(&mut self, other: &NodeCluster) {
-        self.labels = self.labels.union(&other.labels);
-        self.keys.extend(other.keys.iter().cloned());
-        self.accum.merge(&other.accum);
-    }
-}
-
-impl EdgeCluster {
-    /// Fold another partial cluster in (see [`NodeCluster::merge`]).
-    fn merge(&mut self, other: &EdgeCluster) {
-        self.labels = self.labels.union(&other.labels);
-        self.src_labels = self.src_labels.union(&other.src_labels);
-        self.tgt_labels = self.tgt_labels.union(&other.tgt_labels);
-        self.keys.extend(other.keys.iter().cloned());
-        self.accum.merge(&other.accum);
-    }
-}
 
 /// Stable counting-sort of chunk-local record indices by cluster id:
 /// records of cluster `c` end up at `order[starts[c]..starts[c]+counts[c]]`,
@@ -470,16 +424,17 @@ fn union_into(acc: &mut LabelSet, other: &LabelSet) {
     }
 }
 
-fn assemble_node_clusters(nodes: &[NodeRecord], clustering: &Clustering) -> Vec<NodeCluster> {
-    let shard = nodes.len().div_ceil(ASSEMBLE_SHARDS).max(1);
-    let partials: Vec<Vec<NodeCluster>> = nodes
+/// Fold the full record set into one representative per cluster:
+/// fixed chunks fold in parallel, then the partials merge in chunk
+/// order, so the result is independent of the thread count.
+fn assemble<C: Candidate>(records: &[C::Record], clustering: &Clustering) -> Vec<C> {
+    let shard = records.len().div_ceil(ASSEMBLE_SHARDS).max(1);
+    let partials: Vec<Vec<C>> = records
         .par_chunks(shard)
         .zip(clustering.assignment.par_chunks(shard))
-        .map(|(chunk, assignment)| node_chunk_kernel(chunk, assignment, clustering.num_clusters))
+        .map(|(chunk, assignment)| chunk_kernel(chunk, assignment, clustering.num_clusters))
         .collect();
-    let mut clusters: Vec<NodeCluster> = (0..clustering.num_clusters)
-        .map(|_| NodeCluster::default())
-        .collect();
+    let mut clusters: Vec<C> = (0..clustering.num_clusters).map(|_| C::default()).collect();
     for partial in &partials {
         for (dst, src) in clusters.iter_mut().zip(partial) {
             dst.merge(src);
@@ -489,17 +444,17 @@ fn assemble_node_clusters(nodes: &[NodeRecord], clustering: &Clustering) -> Vec<
 }
 
 /// Flat accumulation kernel for one chunk: group records by cluster id
-/// once, then run a tight per-cluster loop over slot-indexed arrays.
+/// once, then run a tight per-cluster fold over slot-indexed arrays.
 /// Bit-identical to the old per-record fold — member order is chunk
 /// order and every map ends up with the same (key, count) content — but
 /// without per-record `Arc` churn or redundant label-union allocation.
-fn node_chunk_kernel(
-    chunk: &[NodeRecord],
+fn chunk_kernel<C: Candidate>(
+    chunk: &[C::Record],
     assignment: &[usize],
     num_clusters: usize,
-) -> Vec<NodeCluster> {
+) -> Vec<C> {
     let (order, starts, counts) = group_by_cluster(assignment, num_clusters);
-    let mut clusters: Vec<NodeCluster> = (0..num_clusters).map(|_| NodeCluster::default()).collect();
+    let mut clusters: Vec<C> = (0..num_clusters).map(|_| C::default()).collect();
     let mut ks = KeySlots::default();
     for (cid, c) in clusters.iter_mut().enumerate() {
         let n = counts[cid];
@@ -507,70 +462,7 @@ fn node_chunk_kernel(
             continue;
         }
         ks.clear();
-        c.accum.members.reserve(n);
-        for &i in &order[starts[cid]..starts[cid] + n] {
-            let node = &chunk[i];
-            union_into(&mut c.labels, &node.labels);
-            c.accum.members.push(node.id);
-            for (k, v) in &node.props {
-                ks.observe(k, v);
-            }
-        }
-        c.accum.count = n as u64;
-        ks.drain_into(&mut c.keys, &mut c.accum.key_present, &mut c.accum.dtype_hist);
-    }
-    clusters
-}
-
-fn assemble_edge_clusters(edges: &[EdgeRecord], clustering: &Clustering) -> Vec<EdgeCluster> {
-    let shard = edges.len().div_ceil(ASSEMBLE_SHARDS).max(1);
-    let partials: Vec<Vec<EdgeCluster>> = edges
-        .par_chunks(shard)
-        .zip(clustering.assignment.par_chunks(shard))
-        .map(|(chunk, assignment)| edge_chunk_kernel(chunk, assignment, clustering.num_clusters))
-        .collect();
-    let mut clusters: Vec<EdgeCluster> = (0..clustering.num_clusters)
-        .map(|_| EdgeCluster::default())
-        .collect();
-    for partial in &partials {
-        for (dst, src) in clusters.iter_mut().zip(partial) {
-            dst.merge(src);
-        }
-    }
-    clusters
-}
-
-/// Edge counterpart of [`node_chunk_kernel`]; additionally folds the
-/// endpoint-label unions and the `(src, tgt)` endpoint list.
-fn edge_chunk_kernel(
-    chunk: &[EdgeRecord],
-    assignment: &[usize],
-    num_clusters: usize,
-) -> Vec<EdgeCluster> {
-    let (order, starts, counts) = group_by_cluster(assignment, num_clusters);
-    let mut clusters: Vec<EdgeCluster> = (0..num_clusters).map(|_| EdgeCluster::default()).collect();
-    let mut ks = KeySlots::default();
-    for (cid, c) in clusters.iter_mut().enumerate() {
-        let n = counts[cid];
-        if n == 0 {
-            continue;
-        }
-        ks.clear();
-        c.accum.members.reserve(n);
-        c.accum.endpoints.reserve(n);
-        for &i in &order[starts[cid]..starts[cid] + n] {
-            let rec = &chunk[i];
-            union_into(&mut c.labels, &rec.edge.labels);
-            union_into(&mut c.src_labels, &rec.src_labels);
-            union_into(&mut c.tgt_labels, &rec.tgt_labels);
-            c.accum.members.push(rec.edge.id);
-            c.accum.endpoints.push((rec.edge.src, rec.edge.tgt));
-            for (k, v) in &rec.edge.props {
-                ks.observe(k, v);
-            }
-        }
-        c.accum.count = n as u64;
-        ks.drain_into(&mut c.keys, &mut c.accum.key_present, &mut c.accum.dtype_hist);
+        c.fold(chunk, &order[starts[cid]..starts[cid] + n], &mut ks);
     }
     clusters
 }
@@ -581,6 +473,14 @@ mod tests {
     use crate::config::EmbeddingKind;
     use pg_embed::Word2VecConfig;
     use pg_model::{Edge, LabelSet, Node, NodeId};
+
+    fn assemble_node_clusters(nodes: &[NodeRecord], clustering: &Clustering) -> Vec<NodeCluster> {
+        assemble(nodes, clustering)
+    }
+
+    fn assemble_edge_clusters(edges: &[EdgeRecord], clustering: &Clustering) -> Vec<EdgeCluster> {
+        assemble(edges, clustering)
+    }
 
     fn quick_cfg(method: LshMethod) -> HiveConfig {
         HiveConfig {
@@ -905,19 +805,96 @@ mod tests {
                 tgt_labels: LabelSet::single("Org"),
             });
         }
-        let on = quick_cfg(LshMethod::Elsh);
-        let off = quick_cfg(LshMethod::Elsh).with_dedup(false);
-        let fs = FeatureSpace::build(&nodes, &edges, &on.embedding, on.seed);
-        let (c_on, p_on, s_on) = cluster_edges(&edges, &fs, &on);
-        let (c_off, p_off, _) = cluster_edges(&edges, &fs, &off);
-        assert_eq!(p_on, p_off);
-        assert_eq!(c_on.len(), c_off.len());
-        for (a, b) in c_on.iter().zip(&c_off) {
-            assert_eq!(a.labels, b.labels);
-            assert_eq!(a.src_labels, b.src_labels);
-            assert_eq!(a.tgt_labels, b.tgt_labels);
-            assert_eq!(a.accum.members, b.accum.members);
+        for method in [LshMethod::Elsh, LshMethod::MinHash] {
+            let on = quick_cfg(method);
+            let off = quick_cfg(method).with_dedup(false);
+            let fs = FeatureSpace::build(&nodes, &edges, &on.embedding, on.seed);
+            let (c_on, p_on, s_on) = cluster_edges(&edges, &fs, &on);
+            let (c_off, p_off, _) = cluster_edges(&edges, &fs, &off);
+            assert_eq!(p_on, p_off, "({method:?})");
+            assert_eq!(c_on.len(), c_off.len(), "({method:?})");
+            for (a, b) in c_on.iter().zip(&c_off) {
+                assert_eq!(a.labels, b.labels, "({method:?})");
+                assert_eq!(a.src_labels, b.src_labels, "({method:?})");
+                assert_eq!(a.tgt_labels, b.tgt_labels, "({method:?})");
+                assert_eq!(a.accum.members, b.accum.members, "({method:?})");
+            }
+            assert_eq!(s_on.distinct, 2, "({method:?})");
         }
-        assert_eq!(s_on.distinct, 2);
+    }
+
+    /// α is tiered by the distinct *individual* labels of the element
+    /// kind, counted over the group representatives' label sets. Each
+    /// side of both tier boundaries (3↔4, 10↔11) must give the α of a
+    /// direct per-record count. Multi-label sets make counting sets
+    /// instead of labels visible, and edge endpoints carry labels that
+    /// would move the edge tier if they were counted.
+    #[test]
+    fn alpha_counts_distinct_labels_of_each_kind() {
+        use pg_lsh::adaptive::alpha_for_labels;
+        let count = |sets: &mut dyn Iterator<Item = &LabelSet>| {
+            sets.flat_map(|ls| ls.iter()).collect::<BTreeSet<_>>().len()
+        };
+        for tier_labels in [3usize, 4, 10, 11] {
+            let label = |prefix: &str, i: usize| format!("{prefix}{}", i % tier_labels);
+            let nodes: Vec<NodeRecord> = (0..40u64)
+                .map(|i| {
+                    let i = i as usize;
+                    let labels = match i % 5 {
+                        0 => LabelSet::from_iter([label("N", i), label("N", i + 1)]),
+                        _ => LabelSet::single(label("N", i).as_str()),
+                    };
+                    Node::new(i as u64, labels).with_prop("name", "n")
+                })
+                .collect();
+            let edges: Vec<EdgeRecord> = (0..40u64)
+                .map(|i| {
+                    let i = i as usize;
+                    let labels = match i % 5 {
+                        0 => LabelSet::from_iter([label("E", i), label("E", i + 1)]),
+                        _ => LabelSet::single(label("E", i).as_str()),
+                    };
+                    EdgeRecord {
+                        edge: Edge::new(1000 + i as u64, NodeId(i as u64), NodeId(0), labels),
+                        src_labels: LabelSet::single(format!("S{}", i % 8).as_str()),
+                        tgt_labels: LabelSet::single(format!("T{}", i % 8).as_str()),
+                    }
+                })
+                .collect();
+            let node_n = count(&mut nodes.iter().map(|n| &n.labels));
+            let edge_n = count(&mut edges.iter().map(|e| &e.edge.labels));
+            let with_endpoints = count(
+                &mut edges
+                    .iter()
+                    .flat_map(|e| [&e.edge.labels, &e.src_labels, &e.tgt_labels]),
+            );
+            assert_eq!((node_n, edge_n), (tier_labels, tier_labels));
+            if tier_labels <= 10 {
+                assert_ne!(
+                    alpha_for_labels(with_endpoints, ElementKind::Edge),
+                    alpha_for_labels(edge_n, ElementKind::Edge),
+                    "endpoint labels must move the tier if miscounted"
+                );
+            }
+            for method in [LshMethod::Elsh, LshMethod::MinHash] {
+                for dedup in [true, false] {
+                    let cfg = quick_cfg(method).with_dedup(dedup);
+                    let fs = FeatureSpace::build(&nodes, &edges, &cfg.embedding, cfg.seed);
+                    let ctx = format!("{tier_labels} labels, {method:?}, dedup {dedup}");
+                    let (_, np, _) = cluster_nodes(&nodes, &fs, &cfg);
+                    let (_, ep, _) = cluster_edges(&edges, &fs, &cfg);
+                    assert_eq!(
+                        np.unwrap().alpha,
+                        alpha_for_labels(node_n, ElementKind::Node),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        ep.unwrap().alpha,
+                        alpha_for_labels(edge_n, ElementKind::Edge),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
     }
 }

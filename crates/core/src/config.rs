@@ -151,14 +151,16 @@ pub struct HiveConfig {
     /// already been found" (§2). Off by default to match the paper's
     /// PG-HIVE; the `fig7_incremental` bench measures the speedup.
     pub memoize: bool,
-    /// Structural-fingerprint dedup fast path: canonicalize each record
-    /// to a fingerprint (label tokens + sorted property-key ids),
-    /// featurize and LSH-hash only the distinct fingerprints, then
-    /// broadcast cluster ids back to the full record set. Feature
-    /// vectors are value-independent, so the schema is bit-for-bit
-    /// identical either way — this is purely a performance knob (on by
-    /// default), kept as an escape hatch and for the A/B check in
-    /// `bench_discovery`. See DESIGN.md §3e "Performance model".
+    /// Structural-fingerprint dedup: group records by fingerprint
+    /// (label tokens + sorted property-key ids), featurize and LSH-hash
+    /// one representative per distinct fingerprint, then broadcast
+    /// cluster ids back to the full record set. `false` runs identity
+    /// grouping over the same path — every record its own group.
+    /// Feature vectors are value-independent, so the schema is
+    /// bit-for-bit identical either way — this is purely a performance
+    /// knob (on by default), kept as an escape hatch and for the A/B
+    /// check in `bench_discovery`. See DESIGN.md §3e "Performance
+    /// model".
     pub dedup: bool,
     /// Worker threads for the parallel hot path (featurization, LSH
     /// signatures, cluster assembly). `0` means "use the available
@@ -223,10 +225,10 @@ impl HiveConfig {
         self
     }
 
-    /// Builder-style dedup override: `false` forces the naive path that
-    /// featurizes and hashes every record individually (the dedup fast
-    /// path produces a bit-identical schema, so this is only useful for
-    /// benchmarking and as an escape hatch).
+    /// Builder-style dedup override: `false` selects identity grouping
+    /// over the same path, which featurizes and hashes every record
+    /// individually (dedup produces a bit-identical schema, so this is
+    /// only useful for benchmarking and as an escape hatch).
     pub fn with_dedup(mut self, dedup: bool) -> Self {
         self.dedup = dedup;
         self

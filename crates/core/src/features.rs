@@ -16,8 +16,7 @@ use pg_lsh::{FnvHashMap, SparseVec};
 use pg_model::{LabelSet, Symbol};
 use pg_store::{EdgeRecord, NodeRecord};
 use rayon::prelude::*;
-use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Chunks the key-universe scan splits into; boundaries depend only on
 /// the record count, and the per-chunk key lists are sorted + deduped
@@ -26,14 +25,17 @@ const KEY_SCAN_SHARDS: usize = 64;
 
 /// Collect the sorted, deduplicated universe of property keys over
 /// `records`, scanning chunks in parallel.
-fn key_universe<R: Sync>(records: &[R], keys_of: impl Fn(&R) -> Vec<Symbol> + Sync) -> Vec<Symbol> {
+fn key_universe<'r, R: Sync, I: Iterator<Item = &'r Symbol>>(
+    records: &'r [R],
+    keys_of: impl Fn(&'r R) -> I + Sync,
+) -> Vec<Symbol> {
     let shard = records.len().div_ceil(KEY_SCAN_SHARDS).max(1);
-    // Dedup inside each shard first: the distinct-key set is tiny
-    // compared to the occurrence count, so this avoids materializing
-    // (and sorting) one Symbol clone per occurrence. The union of
-    // per-shard sets is order-independent, so the final sort still
-    // yields a thread-count-invariant universe.
-    let chunks: Vec<HashSet<Symbol>> = records
+    // Dedup borrowed keys inside each shard first: the distinct-key set
+    // is tiny compared to the occurrence count, so only one Symbol clone
+    // per distinct key is ever made. The union of per-shard sets is
+    // order-independent, so the final sort still yields a
+    // thread-count-invariant universe.
+    let chunks: Vec<HashSet<&Symbol>> = records
         .par_chunks(shard)
         .map(|chunk| chunk.iter().flat_map(&keys_of).collect())
         .collect();
@@ -45,6 +47,7 @@ fn key_universe<R: Sync>(records: &[R], keys_of: impl Fn(&R) -> Vec<Symbol> + Sy
         })
         .unwrap_or_default()
         .into_iter()
+        .cloned()
         .collect();
     keys.sort();
     keys
@@ -160,14 +163,15 @@ impl KeyBits {
 
 /// A node's structural fingerprint: everything its feature vector (and
 /// MinHash set) depends on. Records with equal fingerprints get
-/// bit-identical representations, which is what makes the dedup fast
-/// path lossless. Label sets are interned to dense per-batch ids and
-/// key sets to bitmasks, so building, hashing and comparing
-/// fingerprints touches only integers — this is what keeps the grouping
-/// pass cheap at millions of records.
+/// bit-identical representations, which is what makes clustering one
+/// representative per fingerprint lossless. Label sets are interned to
+/// dense per-batch ids and key sets to bitmasks, so building, hashing
+/// and comparing fingerprints touches only integers — this is what
+/// keeps the grouping pass cheap at millions of records.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NodeFingerprint {
-    labels: u32,
+    /// Interned id of the node's label set.
+    pub(crate) labels: u32,
     keys: KeyBits,
 }
 
@@ -175,7 +179,8 @@ pub struct NodeFingerprint {
 /// ids and the present property-key set.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EdgeFingerprint {
-    labels: u32,
+    /// Interned id of the edge's own label set.
+    pub(crate) labels: u32,
     src_labels: u32,
     tgt_labels: u32,
     keys: KeyBits,
@@ -205,8 +210,8 @@ impl FeatureSpace {
         embedding: &EmbeddingKind,
         seed: u64,
     ) -> FeatureSpace {
-        let node_keys = key_universe(nodes, |n| n.props.keys().cloned().collect());
-        let edge_keys = key_universe(edges, |e| e.edge.props.keys().cloned().collect());
+        let node_keys = key_universe(nodes, |n| n.props.keys());
+        let edge_keys = key_universe(edges, |e| e.edge.props.keys());
 
         let embedder: Box<dyn LabelEmbedder> = match embedding {
             EmbeddingKind::Word2Vec(cfg) => {
@@ -287,16 +292,6 @@ impl FeatureSpace {
         }
     }
 
-    /// Cached info for a label set; falls back to computing it on the
-    /// fly for sets outside the batch (e.g. memoization probes against a
-    /// space built from an earlier batch).
-    fn label_info(&self, labels: &LabelSet) -> Cow<'_, LabelInfo> {
-        match self.label_idx.get(labels) {
-            Some(&i) => Cow::Borrowed(&self.label_infos[i as usize]),
-            None => Cow::Owned(label_info_for(self.embedder.as_ref(), labels)),
-        }
-    }
-
     /// The interned id of a batch label set. Fingerprints are only taken
     /// of the records the space was built from, so the lookup is total.
     fn label_id(&self, labels: &LabelSet) -> u32 {
@@ -304,6 +299,22 @@ impl FeatureSpace {
             .label_idx
             .get(labels)
             .expect("fingerprinted label set was registered at build time")
+    }
+
+    /// The number of distinct individual labels across the interned
+    /// label sets `ids` (repeats allowed).
+    pub(crate) fn distinct_labels(&self, ids: impl Iterator<Item = u32>) -> usize {
+        let mut used = vec![false; self.label_infos.len()];
+        for id in ids {
+            used[id as usize] = true;
+        }
+        let labels: BTreeSet<&str> = self
+            .label_idx
+            .iter()
+            .filter(|&(_, &id)| used[id as usize])
+            .flat_map(|(set, _)| set.iter().map(|l| l.as_ref()))
+            .collect();
+        labels.len()
     }
 
     /// Embedding dimensionality `d`.
@@ -322,8 +333,8 @@ impl FeatureSpace {
     }
 
     /// The structural fingerprint of a node. Two nodes with equal
-    /// fingerprints produce bit-identical [`Self::node_vector`] /
-    /// [`Self::node_set`] outputs (values never enter either).
+    /// fingerprints have bit-identical feature vectors and MinHash sets
+    /// (values never enter either).
     pub fn node_fingerprint(&self, node: &NodeRecord) -> NodeFingerprint {
         NodeFingerprint {
             labels: self.label_id(&node.labels),
@@ -345,27 +356,8 @@ impl FeatureSpace {
         }
     }
 
-    /// `f_v ∈ R^{d+K}` for one node.
-    pub fn node_vector(&self, node: &NodeRecord) -> SparseVec {
-        let d = self.dim();
-        let info = self.label_info(&node.labels);
-        // Exact: every cached entry is nonzero and every present key in
-        // the universe adds one bit (label block and key block are
-        // disjoint index ranges). Unknown keys over-reserve by one slot
-        // each — they only occur for records outside the batch.
-        let mut entries: Vec<(u32, f64)> =
-            Vec::with_capacity(info.entries.len() + node.props.len());
-        entries.extend_from_slice(&info.entries);
-        for k in node.props.keys() {
-            if let Some(&idx) = self.node_key_idx.get(k) {
-                entries.push((d as u32 + idx, 1.0));
-            }
-        }
-        SparseVec::new(self.node_dim(), entries)
-    }
-
-    /// [`Self::node_vector`] from a fingerprint — the dedup path
-    /// featurizes each distinct fingerprint exactly once. Sized exactly:
+    /// `f_v ∈ R^{d+K}` for the nodes with this fingerprint — clustering
+    /// featurizes each group representative exactly once. Sized exactly:
     /// fingerprint keys are already resolved against the universe.
     pub fn node_fingerprint_vector(&self, fp: &NodeFingerprint) -> SparseVec {
         let d = self.dim();
@@ -376,31 +368,8 @@ impl FeatureSpace {
         SparseVec::new(self.node_dim(), entries)
     }
 
-    /// `f_e ∈ R^{3d+Q}` for one edge record.
-    pub fn edge_vector(&self, rec: &EdgeRecord) -> SparseVec {
-        let d = self.dim();
-        let infos = [
-            self.label_info(&rec.edge.labels),
-            self.label_info(&rec.src_labels),
-            self.label_info(&rec.tgt_labels),
-        ];
-        let emb_nnz: usize = infos.iter().map(|i| i.entries.len()).sum();
-        let mut entries: Vec<(u32, f64)> = Vec::with_capacity(emb_nnz + rec.edge.props.len());
-        for (b, info) in infos.iter().enumerate() {
-            let base = (b * d) as u32;
-            for &(i, x) in &info.entries {
-                entries.push((base + i, x));
-            }
-        }
-        for k in rec.edge.props.keys() {
-            if let Some(&idx) = self.edge_key_idx.get(k) {
-                entries.push((3 * d as u32 + idx, 1.0));
-            }
-        }
-        SparseVec::new(self.edge_dim(), entries)
-    }
-
-    /// [`Self::edge_vector`] from a fingerprint, sized exactly.
+    /// `f_e ∈ R^{3d+Q}` for the edges with this fingerprint, sized
+    /// exactly.
     pub fn edge_fingerprint_vector(&self, fp: &EdgeFingerprint) -> SparseVec {
         let d = self.dim();
         let infos = [
@@ -421,22 +390,8 @@ impl FeatureSpace {
         SparseVec::new(self.edge_dim(), entries)
     }
 
-    /// MinHash set representation of a node: property-key ids plus the
-    /// label token (namespaced).
-    pub fn node_set(&self, node: &NodeRecord) -> Vec<u64> {
-        let mut set: Vec<u64> = node
-            .props
-            .keys()
-            .filter_map(|k| self.node_key_idx.get(k))
-            .map(|&i| NS_NODE_KEY | i as u64)
-            .collect();
-        if let Some(h) = self.label_info(&node.labels).token_hash {
-            set.push(NS_LABEL | h);
-        }
-        set
-    }
-
-    /// [`Self::node_set`] from a fingerprint.
+    /// MinHash set representation of the nodes with this fingerprint:
+    /// property-key ids plus the label token (namespaced).
     pub fn node_fingerprint_set(&self, fp: &NodeFingerprint) -> Vec<u64> {
         let mut set: Vec<u64> = Vec::with_capacity(fp.keys.count() + 1);
         fp.keys.for_each(|i| set.push(NS_NODE_KEY | i as u64));
@@ -446,29 +401,9 @@ impl FeatureSpace {
         set
     }
 
-    /// MinHash set representation of an edge: property-key ids plus the
-    /// edge/source/target label tokens (each in its own namespace).
-    pub fn edge_set(&self, rec: &EdgeRecord) -> Vec<u64> {
-        let mut set: Vec<u64> = rec
-            .edge
-            .props
-            .keys()
-            .filter_map(|k| self.edge_key_idx.get(k))
-            .map(|&i| NS_EDGE_KEY | i as u64)
-            .collect();
-        if let Some(h) = self.label_info(&rec.edge.labels).token_hash {
-            set.push(NS_LABEL | h);
-        }
-        if let Some(h) = self.label_info(&rec.src_labels).token_hash {
-            set.push(NS_SRC_LABEL | h);
-        }
-        if let Some(h) = self.label_info(&rec.tgt_labels).token_hash {
-            set.push(NS_TGT_LABEL | h);
-        }
-        set
-    }
-
-    /// [`Self::edge_set`] from a fingerprint.
+    /// MinHash set representation of the edges with this fingerprint:
+    /// property-key ids plus the edge/source/target label tokens (each in
+    /// its own namespace).
     pub fn edge_fingerprint_set(&self, fp: &EdgeFingerprint) -> Vec<u64> {
         let mut set: Vec<u64> = Vec::with_capacity(fp.keys.count() + 3);
         fp.keys.for_each(|i| set.push(NS_EDGE_KEY | i as u64));
@@ -500,6 +435,102 @@ mod tests {
     use super::*;
     use pg_embed::Word2VecConfig;
     use pg_model::{Edge, LabelSet, Node, NodeId};
+    use std::borrow::Cow;
+
+    /// The per-record featurizers: the reference the fingerprint
+    /// featurizers must match bit for bit. They also accept records the
+    /// space was not built from (unknown keys get no bit, foreign label
+    /// sets are embedded on the fly).
+    impl FeatureSpace {
+        /// Cached info for a label set; computed on the fly for sets
+        /// outside the batch.
+        fn label_info(&self, labels: &LabelSet) -> Cow<'_, LabelInfo> {
+            match self.label_idx.get(labels) {
+                Some(&i) => Cow::Borrowed(&self.label_infos[i as usize]),
+                None => Cow::Owned(label_info_for(self.embedder.as_ref(), labels)),
+            }
+        }
+
+        /// `f_v ∈ R^{d+K}` for one node.
+        fn node_vector(&self, node: &NodeRecord) -> SparseVec {
+            let d = self.dim();
+            let info = self.label_info(&node.labels);
+            // Exact: every cached entry is nonzero and every present key in
+            // the universe adds one bit (label block and key block are
+            // disjoint index ranges). Unknown keys over-reserve by one slot
+            // each — they only occur for records outside the batch.
+            let mut entries: Vec<(u32, f64)> =
+                Vec::with_capacity(info.entries.len() + node.props.len());
+            entries.extend_from_slice(&info.entries);
+            for k in node.props.keys() {
+                if let Some(&idx) = self.node_key_idx.get(k) {
+                    entries.push((d as u32 + idx, 1.0));
+                }
+            }
+            SparseVec::new(self.node_dim(), entries)
+        }
+
+        /// `f_e ∈ R^{3d+Q}` for one edge record.
+        fn edge_vector(&self, rec: &EdgeRecord) -> SparseVec {
+            let d = self.dim();
+            let infos = [
+                self.label_info(&rec.edge.labels),
+                self.label_info(&rec.src_labels),
+                self.label_info(&rec.tgt_labels),
+            ];
+            let emb_nnz: usize = infos.iter().map(|i| i.entries.len()).sum();
+            let mut entries: Vec<(u32, f64)> = Vec::with_capacity(emb_nnz + rec.edge.props.len());
+            for (b, info) in infos.iter().enumerate() {
+                let base = (b * d) as u32;
+                for &(i, x) in &info.entries {
+                    entries.push((base + i, x));
+                }
+            }
+            for k in rec.edge.props.keys() {
+                if let Some(&idx) = self.edge_key_idx.get(k) {
+                    entries.push((3 * d as u32 + idx, 1.0));
+                }
+            }
+            SparseVec::new(self.edge_dim(), entries)
+        }
+
+        /// MinHash set representation of a node: property-key ids plus the
+        /// label token (namespaced).
+        fn node_set(&self, node: &NodeRecord) -> Vec<u64> {
+            let mut set: Vec<u64> = node
+                .props
+                .keys()
+                .filter_map(|k| self.node_key_idx.get(k))
+                .map(|&i| NS_NODE_KEY | i as u64)
+                .collect();
+            if let Some(h) = self.label_info(&node.labels).token_hash {
+                set.push(NS_LABEL | h);
+            }
+            set
+        }
+
+        /// MinHash set representation of an edge: property-key ids plus the
+        /// edge/source/target label tokens (each in its own namespace).
+        fn edge_set(&self, rec: &EdgeRecord) -> Vec<u64> {
+            let mut set: Vec<u64> = rec
+                .edge
+                .props
+                .keys()
+                .filter_map(|k| self.edge_key_idx.get(k))
+                .map(|&i| NS_EDGE_KEY | i as u64)
+                .collect();
+            if let Some(h) = self.label_info(&rec.edge.labels).token_hash {
+                set.push(NS_LABEL | h);
+            }
+            if let Some(h) = self.label_info(&rec.src_labels).token_hash {
+                set.push(NS_SRC_LABEL | h);
+            }
+            if let Some(h) = self.label_info(&rec.tgt_labels).token_hash {
+                set.push(NS_TGT_LABEL | h);
+            }
+            set
+        }
+    }
 
     fn records() -> (Vec<NodeRecord>, Vec<EdgeRecord>) {
         let nodes = vec![
@@ -622,8 +653,8 @@ mod tests {
 
     #[test]
     fn fingerprint_representations_match_record_representations() {
-        // The dedup fast path builds vectors/sets from fingerprints; they
-        // must be bit-identical to the per-record builders.
+        // Clustering builds vectors/sets from fingerprints; they must be
+        // bit-identical to the per-record builders.
         let (fs, nodes, edges) = space();
         for n in &nodes {
             let fp = fs.node_fingerprint(n);

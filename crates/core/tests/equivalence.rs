@@ -54,10 +54,11 @@ proptest! {
     }
 
     /// Contract 3: the structural-fingerprint dedup fast path is
-    /// bit-identical to the naive per-record path — same `SchemaGraph`,
-    /// same canonical content hash (what `pg-hive hash` prints), same
-    /// assignments — across datasets, seeds, methods, noise, and thread
-    /// counts. Dedup is purely a performance optimization.
+    /// bit-identical to identity grouping over the same path — same
+    /// `SchemaGraph`, same canonical content hash (what `pg-hive hash`
+    /// prints), same assignments — across datasets, seeds, methods,
+    /// noise, and thread counts. Dedup is purely a performance
+    /// optimization.
     #[test]
     fn dedup_fast_path_is_bit_identical_to_naive(
         dataset in prop::sample::select(vec!["POLE", "MB6", "ICIJ"]),
